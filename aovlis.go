@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sync/atomic"
 
@@ -203,12 +204,26 @@ type Detector struct {
 	observing atomic.Int32
 }
 
+// ErrNonFinite is returned (wrapped; match it with errors.Is) when Train
+// meets a NaN or ±Inf where it needs a finite number: in a training
+// feature, or in the calibrated threshold τ. Either would fail open — a
+// NaN τ makes `score > τ` false for every segment, so the detector could
+// never raise an alarm — so training refuses instead.
+var ErrNonFinite = errors.New("aovlis: non-finite value")
+
 // Train fits a detector on a normal (anomaly-free) feature series: the
 // CLSTM is trained on 75% of the sequences, τ is calibrated on the
 // remaining 25%, and the dynamic updater (when enabled) is seeded with the
-// training hidden states.
+// training hidden states. Non-finite features or a non-finite τ fail with
+// ErrNonFinite.
 func Train(actions, audience [][]float64, cfg Config) (*Detector, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkFinite("action", actions); err != nil {
+		return nil, err
+	}
+	if err := checkFinite("audience", audience); err != nil {
 		return nil, err
 	}
 	model, err := core.NewModel(cfg.modelConfig())
@@ -239,12 +254,27 @@ func Train(actions, audience [][]float64, cfg Config) (*Detector, error) {
 		valScores = append(valScores, sc.REIA)
 	}
 	tau := core.CalibrateThreshold(valScores, cfg.TauQuantile)
+	if math.IsNaN(tau) || math.IsInf(tau, 0) {
+		return nil, fmt.Errorf("%w: calibrated τ is %v", ErrNonFinite, tau)
+	}
 
 	d := &Detector{cfg: cfg, model: model, tau: tau}
 	if err := d.initRuntime(train); err != nil {
 		return nil, err
 	}
 	return d, nil
+}
+
+// checkFinite reports the first NaN or ±Inf in a training feature series.
+func checkFinite(stream string, series [][]float64) error {
+	for t, row := range series {
+		for i, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: %s feature %d of segment %d is %v", ErrNonFinite, stream, i, t, v)
+			}
+		}
+	}
+	return nil
 }
 
 // initRuntime builds the filter and updater around the trained model.

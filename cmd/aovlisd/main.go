@@ -103,6 +103,7 @@ import (
 	"aovlis"
 	"aovlis/internal/dataset"
 	"aovlis/internal/ledger"
+	"aovlis/internal/mat"
 	"aovlis/internal/metrics"
 	"aovlis/internal/serve"
 	"aovlis/internal/snapshot"
@@ -643,11 +644,13 @@ func buildTemplate(o options) (*aovlis.Detector, error) {
 	cfg.Seed = o.seed
 	cfg.FastMath = o.fastMath
 	cfg.Tiered = o.tiered
+	start := time.Now()
 	det, err := aovlis.Train(ds.TrainActions, ds.TrainAudience, cfg)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("trained: %d parameters, τ = %.4f%s\n", det.Model().NumParams(), det.Tau(), scoringSuffix(o))
+	fmt.Printf("trained: %d parameters, τ = %.4f in %s (%s kernels)%s\n", det.Model().NumParams(), det.Tau(),
+		time.Since(start).Round(time.Millisecond), mat.SIMDGEMM(), scoringSuffix(o))
 	return det, nil
 }
 

@@ -74,10 +74,11 @@ type Node struct {
 	Grad  *mat.Matrix
 
 	op   opKind
-	a, b *Node   // unary/binary operands
-	ps   []*Node // ConcatCols operands (capacity reused across Reset)
-	s    float64 // Scale factor
-	lo   int     // SliceCols bounds
+	a, b *Node       // unary/binary operands
+	ps   []*Node     // ConcatCols operands (capacity reused across Reset)
+	vt   *mat.Matrix // VarT: row-major transpose of Value
+	s    float64     // Scale factor
+	lo   int         // SliceCols bounds
 	hi   int
 	leaf bool
 }
@@ -119,7 +120,7 @@ func (t *Tape) alloc() *Node {
 	var n *Node
 	if t.used < len(t.nodes) {
 		n = t.nodes[t.used]
-		n.Value, n.Grad, n.a, n.b = nil, nil, nil, nil
+		n.Value, n.Grad, n.a, n.b, n.vt = nil, nil, nil, nil, nil
 		n.ps = n.ps[:0]
 		n.s = 0
 		n.lo, n.hi = 0, 0
@@ -140,6 +141,19 @@ func (t *Tape) Var(v *mat.Matrix) *Node {
 	n.leaf = true
 	n.Value = v
 	n.Grad = t.arena.Get(v.Rows, v.Cols)
+	return n
+}
+
+// VarT is Var for a weight whose row-major transpose vt = vᵀ the caller
+// keeps current (nil means none). Backward of a MatMul with this node as
+// its right operand then computes dA += dOut·vᵀ as the forward product
+// dOut·vt — through the SIMD GEMM kernel when one is active — plus one
+// elementwise add: each output is the same zero-started, ascending-k sum
+// the scalar dot-product loop forms, so the gradient bits are unchanged.
+// vt must equal vᵀ whenever Backward runs.
+func (t *Tape) VarT(v, vt *mat.Matrix) *Node {
+	n := t.Var(v)
+	n.vt = vt
 	return n
 }
 
@@ -368,7 +382,13 @@ func (t *Tape) backstep(n *Node) {
 	case opMatMul:
 		// dL/dA = dL/dOut · Bᵀ ; dL/dB = Aᵀ · dL/dOut
 		if needsGrad(n.a) {
-			mat.MatMulBTInto(t.grad(n.a), g, n.b.Value)
+			if bt := n.b.vt; bt != nil {
+				s := t.arena.GetUninit(g.Rows, bt.Cols)
+				mat.MatMulTo(s, g, bt)
+				mat.AddInto(t.grad(n.a), s)
+			} else {
+				mat.MatMulBTInto(t.grad(n.a), g, n.b.Value)
+			}
 		}
 		if needsGrad(n.b) {
 			mat.MatMulATInto(t.grad(n.b), n.a.Value, g)

@@ -98,6 +98,14 @@ func (m *Model) begin() (*ad.Tape, *nn.Binding) {
 	return m.tape, m.bind
 }
 
+// beginTrain is begin for a pass that runs Backward: the binding also
+// hands the tape the transposed weights of the SIMD backward GEMM.
+func (m *Model) beginTrain() (*ad.Tape, *nn.Binding) {
+	m.tape.Reset()
+	m.bind.RebindForBackward()
+	return m.tape, m.bind
+}
+
 // Config returns the model configuration.
 func (m *Model) Config() Config { return m.cfg }
 
@@ -238,7 +246,7 @@ func (m *Model) TrainStep(s *Sample) (float64, error) {
 	if s.ActionTarget == nil || s.AudienceTarget == nil {
 		return 0, fmt.Errorf("core: TrainStep requires targets")
 	}
-	tp, b := m.begin()
+	tp, b := m.beginTrain()
 	fhat, ahat, _, _ := m.forward(tp, b, s)
 	loss := m.loss(tp, fhat, ahat, s)
 	tp.Backward(loss)

@@ -153,6 +153,14 @@ func (m *MultiModel) begin() (*ad.Tape, *nn.Binding) {
 	return m.tape, m.bind
 }
 
+// beginTrain is begin for a pass that runs Backward: the binding also
+// hands the tape the transposed weights of the SIMD backward GEMM.
+func (m *MultiModel) beginTrain() (*ad.Tape, *nn.Binding) {
+	m.tape.Reset()
+	m.bind.RebindForBackward()
+	return m.tape, m.bind
+}
+
 // Config returns the configuration.
 func (m *MultiModel) Config() MultiConfig { return m.cfg }
 
@@ -299,7 +307,7 @@ func (m *MultiModel) TrainStep(seqs [][][]float64, targets [][]float64) (float64
 			return 0, fmt.Errorf("core: target %d has dim %d, want %d", i, len(tgt), m.cfg.Streams[i].InputDim)
 		}
 	}
-	tp, b := m.begin()
+	tp, b := m.beginTrain()
 	outs := m.forward(tp, b, seqs)
 	loss := m.loss(tp, outs, targets)
 	tp.Backward(loss)

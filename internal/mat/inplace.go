@@ -65,11 +65,19 @@ func ApplyTo(dst, a *Matrix, f func(float64) float64) {
 // matches MatMul exactly. Like MatMul, the kernel is dense — the former
 // zero-skip branch cost more on dense LSTM inputs than it saved (see
 // BenchmarkMatMulZeroSkip) and skipping zeros never changed a bit.
+//
+// With a SIMD level active the forward GEMM kernel (gemm_amd64.s) runs
+// instead: it computes every output as a zero-initialised accumulator
+// summed over k in ascending order with separate multiply and add — the
+// same sum as the scalar loop below, so the bits are the same.
 func MatMulTo(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MatMulTo inner dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	mustShape("MatMulTo", dst, a.Rows, b.Cols)
+	if simdGEMMInto(dst.Data, a.Data, a.Rows, b) {
+		return
+	}
 	for i := range dst.Data {
 		dst.Data[i] = 0
 	}
@@ -122,12 +130,26 @@ func SliceColsTo(dst, a *Matrix, from, to int) {
 	}
 }
 
-// TransposeTo computes dst = aᵀ.
+// TransposeTo computes dst = aᵀ. Four source rows are read together so
+// every destination write fills four adjacent elements; the training tape
+// re-transposes its weights once per optimiser step (nn.Binding).
 func TransposeTo(dst, a *Matrix) {
 	mustShape("TransposeTo", dst, a.Cols, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			dst.Data[j*a.Rows+i] = a.Data[i*a.Cols+j]
+	r, c := a.Rows, a.Cols
+	i := 0
+	for ; i+4 <= r; i += 4 {
+		a0 := a.Data[i*c : i*c+c]
+		a1 := a.Data[(i+1)*c : (i+1)*c+c][:len(a0)]
+		a2 := a.Data[(i+2)*c : (i+2)*c+c][:len(a0)]
+		a3 := a.Data[(i+3)*c : (i+3)*c+c][:len(a0)]
+		for j := range a0 {
+			d := dst.Data[j*r+i : j*r+i+4]
+			d[0], d[1], d[2], d[3] = a0[j], a1[j], a2[j], a3[j]
+		}
+	}
+	for ; i < r; i++ {
+		for j, v := range a.Data[i*c : i*c+c] {
+			dst.Data[j*r+i] = v
 		}
 	}
 }

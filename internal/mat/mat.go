@@ -160,6 +160,11 @@ func MatMul(a, b *Matrix) *Matrix {
 // genuinely sparse, and the accumulating destination means dropping the
 // branch would not be provably bit-preserving (dst may legitimately hold
 // −0 gradients, and adding a +0 term would flip them to +0).
+//
+// Each row of a is one rank-1 update dst[k][j] += a[k]·b[j]. With a SIMD
+// level active an axpy kernel (train_amd64.s) covers the leading columns
+// of every dst row, keeping the same zero-skip and the same separate
+// multiply and add per element; the loop below finishes the column tail.
 func MatMulATInto(dst, a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MatMulATInto shape mismatch dst %dx%d, a %dx%d, b %dx%d",
@@ -168,12 +173,16 @@ func MatMulATInto(dst, a, b *Matrix) {
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
 		brow := b.Data[i*b.Cols : (i+1)*b.Cols]
+		j0 := simdRank1Into(dst.Data, arow, brow)
+		if j0 == len(brow) {
+			continue
+		}
 		for k, av := range arow {
 			if av == 0 {
 				continue
 			}
-			drow := dst.Data[k*dst.Cols : (k+1)*dst.Cols]
-			for j, bv := range brow {
+			drow := dst.Data[k*dst.Cols+j0 : (k+1)*dst.Cols]
+			for j, bv := range brow[j0:] {
 				drow[j] += av * bv
 			}
 		}
@@ -203,11 +212,7 @@ func MatMulBTInto(dst, a, b *Matrix) {
 // Transpose returns aᵀ.
 func Transpose(a *Matrix) *Matrix {
 	out := New(a.Cols, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			out.Data[j*a.Rows+i] = a.Data[i*a.Cols+j]
-		}
-	}
+	TransposeTo(out, a)
 	return out
 }
 

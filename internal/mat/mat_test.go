@@ -126,6 +126,28 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
+// TestTransposeToShapes checks every element of TransposeTo against the
+// definition over row counts on and off its four-row blocking.
+func TestTransposeToShapes(t *testing.T) {
+	for rows := 1; rows <= 9; rows++ {
+		for _, cols := range []int{1, 2, 5, 32} {
+			a := New(rows, cols)
+			for i := range a.Data {
+				a.Data[i] = float64(i)
+			}
+			at := New(cols, rows)
+			TransposeTo(at, a)
+			for i := 0; i < rows; i++ {
+				for j := 0; j < cols; j++ {
+					if at.At(j, i) != a.At(i, j) {
+						t.Fatalf("%dx%d: aᵀ[%d][%d] = %v, want %v", rows, cols, j, i, at.At(j, i), a.At(i, j))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestConcatCols(t *testing.T) {
 	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
 	b := FromSlice(2, 1, []float64{9, 10})

@@ -150,6 +150,16 @@ type Binding struct {
 	ps    *ParamSet
 	tape  *ad.Tape
 	nodes map[string]*ad.Node
+
+	// wt holds, parallel to ps.names, the row-major transpose of every
+	// weight matrix (nil for row vectors such as biases) for the SIMD
+	// backward GEMM dInput += dOut·Wᵀ (see ad.Tape.VarT). It is allocated
+	// on the first RebindForBackward and re-taken whenever the ParamSet
+	// version moved since wtVersion. The transposes belong to this
+	// binding, so a model and its Clone never share them, and a model
+	// that never trains never pays for them.
+	wt        []*mat.Matrix
+	wtVersion uint64
 }
 
 // Bind creates a Var node for every parameter on tp.
@@ -167,6 +177,44 @@ func (b *Binding) Rebind() {
 	for _, n := range b.ps.names {
 		b.nodes[n] = b.tape.Var(b.ps.vals[n])
 	}
+}
+
+// RebindForBackward is Rebind for a pass that will run Backward. With a
+// SIMD level active it also hands the tape each weight's transpose, so
+// the backward GEMMs run vectorised; the transposes are re-taken only when
+// the ParamSet version moved since the last call — once per optimiser
+// step during training. Gradients are bit-identical either way. In steady
+// state it performs no heap allocations.
+func (b *Binding) RebindForBackward() {
+	if !mat.HasSIMD() {
+		b.Rebind()
+		return
+	}
+	b.refreshTransposes()
+	for i, n := range b.ps.names {
+		b.nodes[n] = b.tape.VarT(b.ps.vals[n], b.wt[i])
+	}
+}
+
+// refreshTransposes brings wt up to date with the current parameter values
+// when the ParamSet version (or its parameter list) changed.
+func (b *Binding) refreshTransposes() {
+	if len(b.wt) != len(b.ps.names) {
+		b.wt = make([]*mat.Matrix, len(b.ps.names))
+		for i, n := range b.ps.names {
+			if v := b.ps.vals[n]; v.Rows > 1 {
+				b.wt[i] = mat.New(v.Cols, v.Rows)
+			}
+		}
+	} else if b.wtVersion == b.ps.version {
+		return
+	}
+	for i, n := range b.ps.names {
+		if wt := b.wt[i]; wt != nil {
+			mat.TransposeTo(wt, b.ps.vals[n])
+		}
+	}
+	b.wtVersion = b.ps.version
 }
 
 // Node returns the bound Var for name.
@@ -242,8 +290,13 @@ func (a *Adam) Step(ps *ParamSet, grads map[string]*mat.Matrix) {
 		clipGlobalNorm(ps.names, grads, a.ClipNorm)
 	}
 	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	c := mat.AdamCoeffs{
+		B1: a.Beta1, C1: 1 - a.Beta1,
+		B2: a.Beta2, C2: 1 - a.Beta2,
+		BC1: 1 - math.Pow(a.Beta1, float64(a.t)),
+		BC2: 1 - math.Pow(a.Beta2, float64(a.t)),
+		LR:  a.LR, Eps: a.Eps,
+	}
 	for _, name := range ps.names {
 		g := grads[name]
 		if g == nil {
@@ -256,15 +309,7 @@ func (a *Adam) Step(ps *ParamSet, grads map[string]*mat.Matrix) {
 			a.m[name] = mv
 			a.v[name] = mat.New(p.Rows, p.Cols)
 		}
-		vv := a.v[name]
-		for i := range p.Data {
-			gi := g.Data[i]
-			mv.Data[i] = a.Beta1*mv.Data[i] + (1-a.Beta1)*gi
-			vv.Data[i] = a.Beta2*vv.Data[i] + (1-a.Beta2)*gi*gi
-			mhat := mv.Data[i] / bc1
-			vhat := vv.Data[i] / bc2
-			p.Data[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
-		}
+		mat.AdamUpdateInto(p.Data, mv.Data, a.v[name].Data, g.Data, &c)
 	}
 }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# benchsmoke.sh — enforce a recorded Observe latency baseline.
+# benchsmoke.sh — enforce a recorded benchmark latency baseline.
 #
 # Usage: benchsmoke.sh <bench-output.txt> [BENCH.md] [BenchmarkName]
 #
@@ -8,8 +8,9 @@
 # <BenchmarkName> ns/op across the -count repetitions in the benchmark
 # output, and fails when the median exceeds the baseline by more than 25%.
 # The benchmark name defaults to BenchmarkDetectorObserveADOS; CI's
-# bench-smoke job also runs the BenchmarkDetectorObserveTiered gate. The
-# raw output is uploaded as a workflow artifact either way.
+# bench-smoke job also runs the BenchmarkDetectorObserveTiered and
+# BenchmarkTrainEpochDaemonShape gates. The raw output is uploaded as a
+# workflow artifact either way.
 set -eu
 
 OUT=${1:?usage: benchsmoke.sh bench-output.txt [BENCH.md] [BenchmarkName]}
