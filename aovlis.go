@@ -398,6 +398,11 @@ func (d *Detector) Detected() int { return d.detected }
 // window, scores it (through the ADOS filter when enabled) and returns the
 // decision; the window then slides forward.
 //
+// Observe takes ownership of both slices without copying them: they stay
+// in the window for SeqLen more segments and, with EnableUpdate, in the
+// updater's retraining buffer. The caller must not write to them after
+// the call.
+//
 // Observe is not safe for concurrent use: a call that overlaps another
 // Observe on the same Detector returns ErrConcurrentObserve (see the
 // concurrency contract on Detector).
@@ -526,7 +531,9 @@ func (d *Detector) observeLocked(actionFeat, audienceFeat []float64) (Result, er
 // results[0:n] are valid, the window reflects segments 0..n-1, lane n's
 // error is returned, and lanes after n are untouched (the caller may
 // resubmit them). Like Observe, ObserveBatch is single-writer: a call
-// racing any other writer fails with ErrConcurrentObserve.
+// racing any other writer fails with ErrConcurrentObserve, and it keeps
+// the feature rows under Observe's ownership rule (the outer slices are
+// the caller's to reuse).
 func (d *Detector) ObserveBatch(actionFeats, audienceFeats [][]float64, results []Result) (int, error) {
 	if len(audienceFeats) != len(actionFeats) || len(results) < len(actionFeats) {
 		return 0, fmt.Errorf("aovlis: ObserveBatch slice lengths %d/%d/%d disagree",

@@ -381,7 +381,7 @@ func TestWatchStreamsVerdicts(t *testing.T) {
 
 	var body strings.Builder
 	for i := range acts {
-		b, _ := json.Marshal(observation{Action: acts[i], Audience: auds[i]})
+		b, _ := json.Marshal(live.Observation{Action: acts[i], Audience: auds[i]})
 		body.WriteString(string(b) + "\n")
 	}
 	decs := postObserve(t, srv, "w0", body.String())
@@ -458,10 +458,19 @@ func TestLiveTeardownRaceClean(t *testing.T) {
 	acts, auds := testSeries(17, 400)
 	var delivered atomic.Int64
 	var wg sync.WaitGroup
-	for ci := 0; ci < 3; ci++ {
+	// ready counts producers that have dialled and received a decision:
+	// the hub closes only once every producer is mid-traffic, so no dial
+	// can lose the race against the close and see the 503 asserted below.
+	const producers = 3
+	var ready sync.WaitGroup
+	ready.Add(producers)
+	for ci := 0; ci < producers; ci++ {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
+			var once sync.Once
+			signal := func() { once.Do(ready.Done) }
+			defer signal() // a producer that fails early must not stall the test
 			conn, _, err := live.Dial(srv.URL+fmt.Sprintf("/live/tear-%d", ci), nil)
 			if err != nil {
 				t.Errorf("producer %d dial: %v", ci, err)
@@ -478,6 +487,7 @@ func TestLiveTeardownRaceClean(t *testing.T) {
 					return
 				}
 				delivered.Add(1)
+				signal()
 			}
 		}(ci)
 	}
@@ -497,6 +507,13 @@ func TestLiveTeardownRaceClean(t *testing.T) {
 		}()
 	}
 
+	allReady := make(chan struct{})
+	go func() { ready.Wait(); close(allReady) }()
+	select {
+	case <-allReady:
+	case <-time.After(15 * time.Second):
+		t.Fatal("a producer never delivered its first decision")
+	}
 	deadline := time.Now().Add(15 * time.Second)
 	for delivered.Load() < 10 {
 		if time.Now().After(deadline) {

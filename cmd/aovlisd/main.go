@@ -766,12 +766,6 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	d.pool.Metrics().WritePrometheus(w)
 }
 
-// observation is one NDJSON request line.
-type observation struct {
-	Action   []float64 `json:"action"`
-	Audience []float64 `json:"audience"`
-}
-
 // decision is one NDJSON response line.
 type decision struct {
 	Channel string  `json:"channel"`
@@ -967,10 +961,10 @@ func (d *daemon) handleObserve(w http.ResponseWriter, r *http.Request, id string
 		}
 	}
 	seq := 0
+	var dec live.ObservationDecoder
 	accept := func(line []byte) {
-		var obs observation
 		decs[head] = decision{Channel: id, Seq: seq}
-		if err := json.Unmarshal(line, &obs); err != nil {
+		if obs, err := dec.Decode(line); err != nil {
 			decs[head].Error = fmt.Sprintf("bad observation line: %v", err)
 		} else {
 			err := d.pool.SubmitInto(id, obs.Action, obs.Audience, outs[head])

@@ -27,6 +27,7 @@ import (
 	"aovlis/internal/mat"
 	"aovlis/internal/serve"
 	"aovlis/internal/snapshot"
+	"aovlis/internal/stream/live"
 	"aovlis/internal/wal"
 )
 
@@ -98,7 +99,7 @@ func newTestDaemon(t *testing.T, maxChannels, batch int, snapshotDir string) (*d
 
 // observeLine encodes one NDJSON observation.
 func observeLine(action, audience []float64) string {
-	b, _ := json.Marshal(observation{Action: action, Audience: audience})
+	b, _ := json.Marshal(live.Observation{Action: action, Audience: audience})
 	return string(b)
 }
 

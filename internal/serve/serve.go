@@ -784,8 +784,11 @@ func (p *DetectorPool) Channels() []string {
 // Block policy Submit waits for queue space; under DropNewest a full queue
 // fails fast with ErrOverloaded and increments the channel's drop counter.
 //
-// The caller must treat the feature slices as frozen until the outcome is
-// delivered (the pool does not copy them).
+// The pool does not copy the feature slices, and the detector keeps them
+// after the outcome is delivered: an *aovlis.Detector holds each segment's
+// slices in its sliding window for SeqLen more segments (and, with dynamic
+// update on, in its retraining buffer). The caller must hand over freshly
+// owned slices and never write to them again.
 func (p *DetectorPool) Submit(id string, actionFeat, audienceFeat []float64) (<-chan Outcome, error) {
 	return p.submit(id, actionFeat, audienceFeat, make(chan Outcome, 1), 0)
 }
@@ -795,7 +798,8 @@ func (p *DetectorPool) Submit(id string, actionFeat, audienceFeat []float64) (<-
 // segment (at tens of thousands of segments per second, per-submit
 // channel garbage is measurable GC pressure and latency jitter). out must
 // be buffered with capacity ≥ 1 and fully drained before reuse; exactly
-// one Outcome is delivered per successful SubmitInto.
+// one Outcome is delivered per successful SubmitInto. The feature slices
+// follow Submit's ownership rule.
 func (p *DetectorPool) SubmitInto(id string, actionFeat, audienceFeat []float64, out chan Outcome) error {
 	if cap(out) < 1 {
 		return fmt.Errorf("serve: SubmitInto outcome channel must be buffered (cap ≥ 1)")

@@ -350,3 +350,134 @@ func TestHubCloseRaceClean(t *testing.T) {
 		t.Fatalf("watch after close = %d, want 503", resp.StatusCode)
 	}
 }
+
+// TestSessionRingWrapAround drives the resume ring through three full
+// wraps plus a partial one: replay must return exactly the newest RingCap
+// decisions, oldest first, from any cursor — including one whose
+// successor sits across the ring's physical wrap point.
+func TestSessionRingWrapAround(t *testing.T) {
+	const ringCap = 1024
+	h := NewHub(HubConfig{RingCap: ringCap})
+	defer h.Close()
+	s, err := h.Acquire("ch-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = 3*ringCap + 7
+	for seq := uint64(1); seq <= total; seq++ {
+		if err := s.Append(seq, []byte(fmt.Sprintf("d%d", seq))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, after := range []uint64{0, total - ringCap, total - ringCap + 1, total - 8, total - 7, total - 1, total} {
+		want := after + 1
+		if oldest := uint64(total - ringCap + 1); want < oldest {
+			want = oldest
+		}
+		if err := s.Replay(after, func(seq uint64, p []byte) error {
+			if seq != want || string(p) != fmt.Sprintf("d%d", seq) {
+				return fmt.Errorf("replay after %d: got %d:%s, want seq %d", after, seq, p, want)
+			}
+			want++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want != total+1 {
+			t.Fatalf("replay after %d stopped before seq %d (next %d)", after, total, want)
+		}
+	}
+}
+
+// TestServeWatchRingWrapAround is the SSE half: after three and a bit
+// wraps of the watch ring, a Last-Event-ID reconnect replays exactly the
+// retained events above the cursor, in id order, with and without a
+// ?channel= filter.
+func TestServeWatchRingWrapAround(t *testing.T) {
+	const watchCap = 1024
+	const total = 3*watchCap + 7
+	const oldest = total - watchCap + 1
+	channelOf := func(id int) string { return fmt.Sprintf("ch-%d", id%3) }
+	for _, tc := range []struct {
+		lastID  int
+		channel string
+	}{
+		{0, ""},
+		{oldest + 1, ""},
+		{total - 10, ""},
+		{0, "ch-1"},
+		{total - 100, "ch-2"},
+	} {
+		h := NewHub(HubConfig{WatchCap: watchCap})
+		srv := httptest.NewServer(http.HandlerFunc(h.ServeWatch))
+		for id := 1; id <= total; id++ {
+			h.Publish(channelOf(id), []byte(fmt.Sprintf(`{"n":%d}`, id)))
+		}
+		extra := ""
+		if tc.channel != "" {
+			extra = "?channel=" + tc.channel
+		}
+		br, cancel := watchStream(t, srv, extra, http.Header{"Last-Event-ID": []string{fmt.Sprint(tc.lastID)}})
+		first := tc.lastID + 1
+		if first < oldest {
+			first = oldest
+		}
+		for id := first; id <= total; id++ {
+			if tc.channel != "" && channelOf(id) != tc.channel {
+				continue
+			}
+			gotID, _, data := readEvent(t, br)
+			if gotID != fmt.Sprint(id) || data != fmt.Sprintf(`{"n":%d}`, id) {
+				t.Fatalf("last id %d channel %q: replayed (%s, %s), want id %d", tc.lastID, tc.channel, gotID, data, id)
+			}
+		}
+		// Nothing else was replayed: the next event read is a fresh publish.
+		h.Publish(tc.channel, []byte(`{"sentinel":true}`))
+		if gotID, _, data := readEvent(t, br); gotID != fmt.Sprint(total+1) || data != `{"sentinel":true}` {
+			t.Fatalf("last id %d channel %q: after replay got (%s, %s), want the sentinel", tc.lastID, tc.channel, gotID, data)
+		}
+		cancel()
+		h.Close()
+		srv.Close()
+	}
+}
+
+// BenchmarkHubPublish measures the per-decision cost of the live rings
+// once they are full, when every push evicts the oldest entry.
+func BenchmarkHubPublish(b *testing.B) {
+	payload := []byte(`{"channel":"ch-0","seq":1,"anomaly":false,"score":0.12345678901234568,"exact":true,"path":"REA-only"}`)
+	b.Run("watch", func(b *testing.B) {
+		h := NewHub(HubConfig{})
+		defer h.Close()
+		for i := 0; i < h.watchCap; i++ {
+			h.Publish("ch-0", payload)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.Publish("ch-0", payload)
+		}
+	})
+	b.Run("session", func(b *testing.B) {
+		h := NewHub(HubConfig{})
+		defer h.Close()
+		s, err := h.Acquire("ch-0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		seq := uint64(0)
+		for ; seq < uint64(h.ringCap); seq++ {
+			if err := s.Append(seq+1, payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			seq++
+			if err := s.Append(seq, payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

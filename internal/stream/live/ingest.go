@@ -11,8 +11,8 @@ import (
 	"aovlis/internal/serve"
 )
 
-// Observation is one inbound live message — the same JSON object the
-// NDJSON observe endpoint takes.
+// Observation is one inbound observation: a live WebSocket message, and
+// equally one line of the daemon's NDJSON observe stream.
 type Observation struct {
 	Action   []float64 `json:"action"`
 	Audience []float64 `json:"audience"`
@@ -248,10 +248,10 @@ func (h *IngestHandler) pump(conn *Conn, sess *Session, id string, floor uint64)
 		}
 	}()
 
+	var dec ObservationDecoder
 	accept := func(msg []byte) error {
-		var obs Observation
 		decs[head] = Decision{Channel: id}
-		if err := json.Unmarshal(msg, &obs); err != nil {
+		if obs, err := dec.Decode(msg); err != nil {
 			decs[head].Error = fmt.Sprintf("bad observation: %v", err)
 		} else {
 			err := h.Pool.SubmitInto(id, obs.Action, obs.Audience, outs[head])

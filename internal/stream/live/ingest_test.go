@@ -301,3 +301,64 @@ func TestDialRefusals(t *testing.T) {
 		t.Fatal("dial to closed port succeeded")
 	}
 }
+
+// retainingDetector keeps every feature slice it is handed, the way
+// aovlis.Detector keeps them in its sliding window, and fails the segment
+// if any earlier slice has since changed underneath it.
+type retainingDetector struct {
+	mu   sync.Mutex
+	kept [][]float64
+}
+
+func (d *retainingDetector) Observe(action, audience []float64) (aovlis.Result, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.kept = append(d.kept, action, audience)
+	for i, v := range d.kept {
+		n := float64(i / 2)
+		for _, x := range v {
+			if x != n {
+				return aovlis.Result{}, fmt.Errorf("retained slice %d of segment %v now holds %v", i%2, n, x)
+			}
+		}
+	}
+	return aovlis.Result{Exact: true, Path: "fake"}, nil
+}
+
+// TestIngestDecodedSlicesOwned is the pump-level half of the ownership
+// rule: the detector keeps each segment's slices after scoring it, so a
+// pump that decoded into reused buffers would rewrite earlier segments.
+// Messages are pipelined through the full window to exercise every slot.
+func TestIngestDecodedSlicesOwned(t *testing.T) {
+	pool, err := serve.NewDetectorPool(serve.Config{Shards: 1, QueueDepth: 64, Policy: serve.Block})
+	if err != nil {
+		t.Fatalf("pool: %v", err)
+	}
+	defer pool.Close()
+	det := &retainingDetector{}
+	if err := pool.Attach("own", det); err != nil {
+		t.Fatal(err)
+	}
+	hub := NewHub(HubConfig{})
+	srv := httptest.NewServer(&IngestHandler{Pool: pool, Hub: hub, Window: 4})
+	defer srv.Close()
+	defer hub.Close()
+	conn, _ := dialIngest(t, srv.URL+"/live/own", 0)
+	defer conn.Close()
+	const n = 32
+	for i := 0; i < n; i++ {
+		v := float64(i)
+		b, err := json.Marshal(Observation{Action: []float64{v, v, v}, Audience: []float64{v, v}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.WriteMessage(OpText, b); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+	}
+	for i := 1; i <= n; i++ {
+		if d := readDecision(t, conn); d.Error != "" || d.Seq != uint64(i) {
+			t.Fatalf("decision %d = %+v", i, d)
+		}
+	}
+}
