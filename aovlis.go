@@ -205,10 +205,13 @@ type Detector struct {
 }
 
 // ErrNonFinite is returned (wrapped; match it with errors.Is) when Train
-// meets a NaN or ±Inf where it needs a finite number: in a training
-// feature, or in the calibrated threshold τ. Either would fail open — a
-// NaN τ makes `score > τ` false for every segment, so the detector could
-// never raise an alarm — so training refuses instead.
+// meets a NaN or ±Inf where it needs a finite number — in a training
+// feature, or in the calibrated threshold τ — and when Observe or
+// ObserveBatch is handed a non-finite feature. Every case would fail open:
+// a NaN τ or score makes `score > τ` false, so the detector reports
+// "normal" without being able to raise an alarm (a NaN segment poisons
+// the next SeqLen predictions through the window, too). The bad input is
+// refused instead, before it touches any state.
 var ErrNonFinite = errors.New("aovlis: non-finite value")
 
 // Train fits a detector on a normal (anomaly-free) feature series: the
@@ -268,11 +271,35 @@ func Train(actions, audience [][]float64, cfg Config) (*Detector, error) {
 // checkFinite reports the first NaN or ±Inf in a training feature series.
 func checkFinite(stream string, series [][]float64) error {
 	for t, row := range series {
-		for i, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("%w: %s feature %d of segment %d is %v", ErrNonFinite, stream, i, t, v)
-			}
+		if i := nonFinite(row); i >= 0 {
+			return fmt.Errorf("%w: %s feature %d of segment %d is %v", ErrNonFinite, stream, i, t, row[i])
 		}
+	}
+	return nil
+}
+
+// nonFinite returns the index of the first NaN or ±Inf in row, or -1.
+func nonFinite(row []float64) int {
+	for i, v := range row {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkSegment validates one observed segment — the detector's feature
+// dims and finite values — before it may touch the window or counters.
+func (d *Detector) checkSegment(actionFeat, audienceFeat []float64) error {
+	if len(actionFeat) != d.cfg.ActionDim || len(audienceFeat) != d.cfg.AudienceDim {
+		return fmt.Errorf("aovlis: feature dims %d/%d, detector expects %d/%d",
+			len(actionFeat), len(audienceFeat), d.cfg.ActionDim, d.cfg.AudienceDim)
+	}
+	if i := nonFinite(actionFeat); i >= 0 {
+		return fmt.Errorf("%w: action feature %d is %v", ErrNonFinite, i, actionFeat[i])
+	}
+	if i := nonFinite(audienceFeat); i >= 0 {
+		return fmt.Errorf("%w: audience feature %d is %v", ErrNonFinite, i, audienceFeat[i])
 	}
 	return nil
 }
@@ -417,9 +444,8 @@ func (d *Detector) Observe(actionFeat, audienceFeat []float64) (Result, error) {
 // observeLocked is Observe's body, shared with the tiered ObserveBatch
 // path; the caller holds the single-writer flag.
 func (d *Detector) observeLocked(actionFeat, audienceFeat []float64) (Result, error) {
-	if len(actionFeat) != d.cfg.ActionDim || len(audienceFeat) != d.cfg.AudienceDim {
-		return Result{}, fmt.Errorf("aovlis: feature dims %d/%d, detector expects %d/%d",
-			len(actionFeat), len(audienceFeat), d.cfg.ActionDim, d.cfg.AudienceDim)
+	if err := d.checkSegment(actionFeat, audienceFeat); err != nil {
+		return Result{}, err
 	}
 	d.observed++
 	if len(d.actWin) < d.cfg.SeqLen {
@@ -563,22 +589,20 @@ func (d *Detector) ObserveBatch(actionFeats, audienceFeats [][]float64, results 
 		return len(actionFeats), nil
 	}
 
-	// The maximal prefix of dimension-valid lanes; the first invalid lane
-	// (if any) gets its error after the prefix commits, exactly like a
-	// serial Observe sequence where a bad segment fails without touching
-	// the window or counters.
+	// The maximal prefix of valid lanes (dims and finite features); the
+	// first invalid lane (if any) gets its error after the prefix commits,
+	// exactly like a serial Observe sequence where a bad segment fails
+	// without touching the window or counters.
 	valid := len(actionFeats)
-	var dimErr error
+	var laneErr error
 	for i := range actionFeats {
-		if len(actionFeats[i]) != d.cfg.ActionDim || len(audienceFeats[i]) != d.cfg.AudienceDim {
+		if laneErr = d.checkSegment(actionFeats[i], audienceFeats[i]); laneErr != nil {
 			valid = i
-			dimErr = fmt.Errorf("aovlis: feature dims %d/%d, detector expects %d/%d",
-				len(actionFeats[i]), len(audienceFeats[i]), d.cfg.ActionDim, d.cfg.AudienceDim)
 			break
 		}
 	}
 	if valid == 0 {
-		return 0, dimErr
+		return 0, laneErr
 	}
 
 	// Combined header sequence [window..., segments...]: lane i's window is
@@ -699,7 +723,7 @@ func (d *Detector) ObserveBatch(actionFeats, audienceFeats [][]float64, results 
 	}
 	commit(valid)
 	releaseBatchRefs(d.batchAct, d.batchAud, d.batchSamples)
-	return valid, dimErr
+	return valid, laneErr
 }
 
 // ensureBatchBufs sizes the lane prediction buffers (headers over one flat

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"aovlis"
-	"aovlis/internal/cluster"
 	"aovlis/internal/serve"
 	"aovlis/internal/serve/loadgen"
 	"aovlis/internal/stream/live"
@@ -131,32 +130,6 @@ func sendObs(t *testing.T, conn *live.Conn, action, audience []float64) {
 	}
 	if err := conn.WriteMessage(live.OpText, b); err != nil {
 		t.Fatalf("sending observation: %v", err)
-	}
-}
-
-// TestLiveDecisionWireParity pins the three decision wire structs —
-// live.Decision, the daemon's NDJSON decision line and cluster.Decision —
-// to one JSON shape, so a client can parse any plane with one type.
-func TestLiveDecisionWireParity(t *testing.T) {
-	tags := func(v interface{}) []string {
-		rt := reflect.TypeOf(v)
-		out := make([]string, 0, rt.NumField())
-		for i := 0; i < rt.NumField(); i++ {
-			tag := rt.Field(i).Tag.Get("json")
-			name, _, _ := strings.Cut(tag, ",")
-			if name == "" || name == "-" {
-				t.Fatalf("%s.%s has no json tag", rt.Name(), rt.Field(i).Name)
-			}
-			out = append(out, name)
-		}
-		return out
-	}
-	want := tags(live.Decision{})
-	if got := tags(decision{}); !reflect.DeepEqual(got, want) {
-		t.Errorf("daemon decision fields %v, live.Decision %v", got, want)
-	}
-	if got := tags(cluster.Decision{}); !reflect.DeepEqual(got, want) {
-		t.Errorf("cluster.Decision fields %v, live.Decision %v", got, want)
 	}
 }
 

@@ -105,7 +105,7 @@ func observeLine(action, audience []float64) string {
 
 // postObserve streams body to the observe endpoint and decodes the NDJSON
 // response lines.
-func postObserve(t *testing.T, srv *httptest.Server, id, body string) []decision {
+func postObserve(t *testing.T, srv *httptest.Server, id, body string) []live.Decision {
 	t.Helper()
 	resp, err := http.Post(srv.URL+"/channels/"+id+"/observe", "application/x-ndjson", strings.NewReader(body))
 	if err != nil {
@@ -116,13 +116,13 @@ func postObserve(t *testing.T, srv *httptest.Server, id, body string) []decision
 		raw, _ := io.ReadAll(resp.Body)
 		t.Fatalf("observe status %d: %s", resp.StatusCode, raw)
 	}
-	var out []decision
+	var out []live.Decision
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		if strings.TrimSpace(sc.Text()) == "" {
 			continue
 		}
-		var dec decision
+		var dec live.Decision
 		if err := json.Unmarshal(sc.Bytes(), &dec); err != nil {
 			t.Fatalf("bad response line %q: %v", sc.Text(), err)
 		}
@@ -145,7 +145,7 @@ func TestObserveStreamsDecisions(t *testing.T) {
 				t.Fatalf("got %d decisions, want 12", len(decs))
 			}
 			for i, dec := range decs {
-				if dec.Seq != i || dec.Channel != "alice" || dec.Error != "" {
+				if dec.Seq != uint64(i) || dec.Channel != "alice" || dec.Error != "" {
 					t.Fatalf("decision %d malformed: %+v", i, dec)
 				}
 				if wantWarm := i < 4; dec.Warmup != wantWarm {
@@ -182,6 +182,78 @@ func TestObserveErrorLines(t *testing.T) {
 	}
 	if decs[3].Error != "" || decs[3].Seq != 3 {
 		t.Fatalf("line 3 should score cleanly with ordered seq: %+v", decs[3])
+	}
+}
+
+// TestObserveScannerErrorAborts: an input line past the scanner cap ends
+// the stream with a final "request stream aborted" line, after the
+// decisions of every line before it.
+func TestObserveScannerErrorAborts(t *testing.T) {
+	_, srv := newTestDaemon(t, 8, 4, "")
+	actions, audience := testSeries(19, 2)
+	body := observeLine(actions[0], audience[0]) + "\n" +
+		observeLine(actions[1], audience[1]) + "\n" +
+		strings.Repeat("x", 1<<20+1) + "\n"
+	decs := postObserve(t, srv, "carol", body)
+	if len(decs) != 3 {
+		t.Fatalf("got %d decisions, want 2 and the abort line: %+v", len(decs), decs)
+	}
+	if last := decs[2]; last.Seq != 2 || !strings.Contains(last.Error, "request stream aborted") {
+		t.Fatalf("final line %+v, want the abort at seq 2", last)
+	}
+}
+
+// failingWriter fails every response write after the first ok ones. Unwrap
+// hands http.ResponseController the real writer, so full duplex, flushes
+// and read deadlines still reach the server's connection.
+type failingWriter struct {
+	http.ResponseWriter
+	ok int
+}
+
+func (w *failingWriter) Write(b []byte) (int, error) {
+	if w.ok == 0 {
+		return 0, fmt.Errorf("injected response write failure")
+	}
+	w.ok--
+	return w.ResponseWriter.Write(b)
+}
+
+func (w *failingWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// TestPumpObserveWriteFailureReturns: when a response write fails while
+// the client keeps the request body open, the handler must still return —
+// the pump's Stop has to cut off the body read parked on the connection
+// (a read deadline in the past on Go's HTTP/1 server).
+func TestPumpObserveWriteFailureReturns(t *testing.T) {
+	d, _ := newTestDaemon(t, 8, 4, "")
+	returned := make(chan struct{})
+	h := d.handler(false, true)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer close(returned)
+		h.ServeHTTP(&failingWriter{ResponseWriter: w, ok: 2}, r)
+	}))
+	t.Cleanup(srv.Close)
+
+	body, feed := io.Pipe()
+	defer feed.Close() // the body stays open until the test ends
+	go func() {
+		resp, err := http.Post(srv.URL+"/channels/dave/observe", "application/x-ndjson", body)
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	actions, audience := testSeries(23, 3)
+	for i := range actions {
+		if _, err := io.WriteString(feed, observeLine(actions[i], audience[i])+"\n"); err != nil {
+			t.Fatalf("feeding line %d: %v", i, err)
+		}
+	}
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("observe handler still running after a failed response write: its body reader was never stopped")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aovlis/internal/stream/live"
 	"aovlis/internal/wal"
 )
 
@@ -246,7 +247,7 @@ func (n *Node) replayObservations(id string, recs []wal.Record) (int, uint64, er
 		if len(line) == 0 {
 			continue
 		}
-		var d Decision
+		var d live.Decision
 		if err := json.Unmarshal(line, &d); err != nil {
 			return applied, maxW, fmt.Errorf("cluster: bad replay decision from %s: %w", n.Spec.Name, err)
 		}

@@ -9,30 +9,9 @@ import (
 	"io"
 	"net/http"
 	"time"
-)
 
-// Decision mirrors the aovlisd NDJSON response line, used when the router
-// must synthesise a line (rejections, terminal errors) or rewrite the seq
-// of a line scored over a rotated upstream connection. The field set is
-// the wire contract with cmd/aovlisd; the multi-process soak pins the two
-// against each other.
-type Decision struct {
-	Channel string  `json:"channel"`
-	Seq     int     `json:"seq"`
-	Warmup  bool    `json:"warmup,omitempty"`
-	Anomaly bool    `json:"anomaly"`
-	Score   float64 `json:"score"`
-	Exact   bool    `json:"exact"`
-	Path    string  `json:"path,omitempty"`
-	// WSeq is the observation's WAL sequence on the node that scored it
-	// (0 when the node runs without -wal-dir). The router records the
-	// highest wseq it relays per channel; on failover that is exactly the
-	// journal suffix replayed onto the new owner (see FailNode).
-	WSeq     uint64 `json:"wseq,omitempty"`
-	Dropped  bool   `json:"dropped,omitempty"`
-	Rejected bool   `json:"rejected,omitempty"`
-	Error    string `json:"error,omitempty"`
-}
+	"aovlis/internal/stream/live"
+)
 
 // slot is one pending segment in a stream's pipelining ring: the raw line
 // (newline-terminated, buffer reused across segments), its client-visible
@@ -227,7 +206,7 @@ func (r *Router) handleObserve(w http.ResponseWriter, req *http.Request, id stri
 					return
 				}
 				if scErr != nil {
-					ps.writeDecision(Decision{Channel: id, Seq: ps.seq,
+					ps.writeDecision(live.Decision{Channel: id, Seq: uint64(ps.seq),
 						Error: fmt.Sprintf("request stream aborted: %v", scErr)})
 				}
 				ps.flushClient()
@@ -484,11 +463,11 @@ func (ps *proxyStream) deliver(raw []byte) error {
 	} else {
 		// Rotated connection: node seqs restart at 0, rewrite to the
 		// client's numbering.
-		var d Decision
+		var d live.Decision
 		if err := json.Unmarshal(raw, &d); err != nil {
 			return fmt.Errorf("cluster: bad acknowledgement line from %s: %w", up.node.Spec.Name, err)
 		}
-		d.Seq = s.seq
+		d.Seq = uint64(s.seq)
 		ps.entry.noteWseq(d.WSeq)
 		if err := ps.writeDecision(d); err != nil {
 			return ps.clientGone(err)
@@ -573,7 +552,7 @@ func (ps *proxyStream) handleUpstreamError(err error) error {
 		// segment with the node's per-line rejection shape instead.
 		for ps.npending > 0 {
 			s := &ps.pending[ps.tail]
-			if werr := ps.writeDecision(Decision{Channel: ps.id, Seq: s.seq, Rejected: true}); werr != nil {
+			if werr := ps.writeDecision(live.Decision{Channel: ps.id, Seq: uint64(s.seq), Rejected: true}); werr != nil {
 				return ps.clientGone(werr)
 			}
 			ps.r.m.rejected.Inc()
@@ -604,7 +583,7 @@ func (ps *proxyStream) handleUpstreamError(err error) error {
 			// lines so the client knows exactly which were never scored.
 			for ps.npending > 0 {
 				s := &ps.pending[ps.tail]
-				if werr := ps.writeDecision(Decision{Channel: ps.id, Seq: s.seq,
+				if werr := ps.writeDecision(live.Decision{Channel: ps.id, Seq: uint64(s.seq),
 					Error: fmt.Sprintf("cluster: no owner reachable within failover budget: %v", err)}); werr != nil {
 					return ps.clientGone(werr)
 				}
@@ -825,7 +804,7 @@ func (ps *proxyStream) closeUpstream() {
 func (ps *proxyStream) terminate(err error) {
 	for ps.npending > 0 {
 		s := &ps.pending[ps.tail]
-		if werr := ps.writeDecision(Decision{Channel: ps.id, Seq: s.seq,
+		if werr := ps.writeDecision(live.Decision{Channel: ps.id, Seq: uint64(s.seq),
 			Error: fmt.Sprintf("cluster: stream aborted: %v", err)}); werr != nil {
 			ps.pop()
 			break
@@ -840,7 +819,7 @@ func (ps *proxyStream) terminate(err error) {
 }
 
 // writeDecision emits one synthesised or rewritten decision line.
-func (ps *proxyStream) writeDecision(d Decision) error {
+func (ps *proxyStream) writeDecision(d live.Decision) error {
 	b, err := json.Marshal(d)
 	if err != nil {
 		return err

@@ -2,8 +2,8 @@ package core
 
 // The tape-free inference engine. Training needs the autodiff tape —
 // opcode dispatch, node bookkeeping, gradient buffers — but prediction
-// only needs the forward arithmetic, so Model and MultiModel compile their
-// trained parameters into an InferPlan: packed gate-fused weights
+// only needs the forward arithmetic, so Model compiles its trained
+// parameters into an InferPlan: packed gate-fused weights
 // (nn.FusedCell / nn.FusedDense) plus preallocated state and scratch
 // buffers. A steady-state plan run performs one GEMV plus one fused gate
 // kernel per LSTM step with zero heap allocations, and is bit-identical to
@@ -190,19 +190,4 @@ func modelSpecs(cfg Config, cellI, cellA *nn.LSTMCell, decI, decA *nn.Dense) []p
 		{cell: cellI, dec: decI, ctx: ctxI},
 		{cell: cellA, dec: decA, ctx: ctxA},
 	}
-}
-
-// multiSpecs builds the plan layout of the K-stream MultiModel: stream k's
-// gates read [h^1..h^K, x^k], mirroring MultiModel.forward.
-func multiSpecs(cells []*nn.LSTMCell, decs []*nn.Dense) []planSpec {
-	specs := make([]planSpec, len(cells))
-	for k := range cells {
-		ctx := make([]ctxSrc, 0, len(cells)+1)
-		for i := range cells {
-			ctx = append(ctx, ctxSrc{hidden: true, index: i})
-		}
-		ctx = append(ctx, ctxSrc{index: k})
-		specs[k] = planSpec{cell: cells[k], dec: decs[k], ctx: ctx}
-	}
-	return specs
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -380,6 +381,68 @@ func TestPoolErrorAccounting(t *testing.T) {
 	st, _ := p.Stats("flaky")
 	if st.Errors != 10 || st.Observed != 20 {
 		t.Fatalf("error accounting off: %+v", st)
+	}
+}
+
+// TestPoolNonFiniteCounted: a NaN feature submitted through the pool —
+// serially or mid micro-batch — comes back as an ErrNonFinite outcome and
+// counts as a pool error, never as a scored segment.
+func TestPoolNonFiniteCounted(t *testing.T) {
+	tmpl := trainTemplate(t)
+	for _, batch := range []int{0, 8} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			p := newTestPool(t, Config{Shards: 1, QueueDepth: 16, Policy: Block, Batch: batch})
+			det, err := tmpl.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Attach("c", det); err != nil {
+				t.Fatal(err)
+			}
+			act := make([]float64, 16)
+			act[0] = 1
+			aud := []float64{0.3, 0.3, 0.3, 0.3, 0.3, 0.3}
+			for i := 0; i < 6; i++ {
+				if _, err := p.Observe("c", act, aud); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bad := append([]float64(nil), aud...)
+			bad[2] = math.NaN()
+			// Submitted back to back so a batching shard sees the NaN lane
+			// inside one group.
+			var outs []<-chan Outcome
+			for _, a := range [][]float64{aud, bad, aud} {
+				out, err := p.Submit("c", act, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				outs = append(outs, out)
+			}
+			for i, out := range outs {
+				o := <-out
+				if i == 1 {
+					if !errors.Is(o.Err, aovlis.ErrNonFinite) {
+						t.Fatalf("NaN segment outcome err = %v, want ErrNonFinite", o.Err)
+					}
+					continue
+				}
+				if o.Err != nil || math.IsNaN(o.Result.Score) {
+					t.Fatalf("finite segment %d outcome %+v", i, o)
+				}
+			}
+			if n := p.m.errors.Value(); n != 1 {
+				t.Fatalf("aovlis_pool_errors_total = %d, want 1", n)
+			}
+			var scrape strings.Builder
+			p.Metrics().WritePrometheus(&scrape)
+			if !strings.Contains(scrape.String(), "\naovlis_pool_errors_total 1\n") {
+				t.Fatalf("scrape lacks aovlis_pool_errors_total 1:\n%s", scrape.String())
+			}
+			if st, _ := p.Stats("c"); st.Errors != 1 || st.Observed != 8 {
+				t.Fatalf("channel accounting off: %+v", st)
+			}
+		})
 	}
 }
 

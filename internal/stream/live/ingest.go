@@ -18,24 +18,31 @@ type Observation struct {
 	Audience []float64 `json:"audience"`
 }
 
-// Decision is one outbound live message. The field set mirrors the
-// aovlisd NDJSON decision line (and cluster.Decision); the daemon's wire
-// pin test holds the three together. Seq is the channel's live decision
-// sequence — equal to WSeq whenever the pool journals — and 0 on lines
-// that were NOT accepted (parse errors, drops, rejections), which a
-// client may therefore resend.
+// Decision is one outbound decision: a live WebSocket message, equally
+// one line of the daemon's NDJSON observe stream and of the router's
+// relay. On the live plane Seq is the channel's live decision sequence —
+// equal to WSeq whenever the pool journals — and 0 on messages that were
+// NOT accepted (parse errors, drops, rejections), which a client may
+// therefore resend; on NDJSON it is the line's ordinal in its request.
 type Decision struct {
-	Channel  string  `json:"channel"`
-	Seq      uint64  `json:"seq"`
-	Warmup   bool    `json:"warmup,omitempty"`
-	Anomaly  bool    `json:"anomaly"`
-	Score    float64 `json:"score"`
-	Exact    bool    `json:"exact"`
-	Path     string  `json:"path,omitempty"`
-	WSeq     uint64  `json:"wseq,omitempty"`
-	Dropped  bool    `json:"dropped,omitempty"`
-	Rejected bool    `json:"rejected,omitempty"`
-	Error    string  `json:"error,omitempty"`
+	Channel string  `json:"channel"`
+	Seq     uint64  `json:"seq"`
+	Warmup  bool    `json:"warmup,omitempty"`
+	Anomaly bool    `json:"anomaly"`
+	Score   float64 `json:"score"`
+	Exact   bool    `json:"exact"`
+	Path    string  `json:"path,omitempty"`
+	// WSeq is the observation's WAL sequence on the scoring node (0
+	// without a journal). A router records the highest wseq it has relayed
+	// per channel: exactly the journal suffix it must replay to the new
+	// owner when that node dies.
+	WSeq uint64 `json:"wseq,omitempty"`
+	// Dropped marks a DropNewest queue overflow; Rejected marks a message
+	// refused by admission control (the pool was past its reject
+	// watermark) — retry later.
+	Dropped  bool   `json:"dropped,omitempty"`
+	Rejected bool   `json:"rejected,omitempty"`
+	Error    string `json:"error,omitempty"`
 }
 
 // ResumeHeader carries the channel's accepted floor on the 101 response;
@@ -46,9 +53,8 @@ const (
 )
 
 // IngestHandler serves /live/{channel}: it upgrades the connection,
-// replays ring decisions above the client's Last-Seq, then pumps
-// observations into the pool's zero-alloc SubmitInto path with a
-// pipelining window, streaming decisions back strictly in message order.
+// replays ring decisions above the client's Last-Seq, then runs a Pump
+// over the connection, streaming decisions back strictly in message order.
 type IngestHandler struct {
 	Pool *serve.DetectorPool
 	Hub  *Hub
@@ -151,177 +157,47 @@ func (h *IngestHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.pump(conn, sess, id, floor)
 }
 
-// pump is the live counterpart of the daemon's NDJSON observe loop: a
-// reader goroutine feeds messages, the driver selects over {next message,
-// oldest outcome} so decisions stream out the moment they resolve, and
-// the fixed ring of recycled outcome channels keeps the per-message cost
-// allocation-free on the submit side.
+// pump adapts the WebSocket connection to the shared Pump. Accepted
+// decisions get the channel's live seq and are ringed before the write,
+// so the floor a reconnect sees covers every accepted segment — including
+// the ones still in flight when the connection broke; refusals keep seq 0
+// and are never ringed.
 func (h *IngestHandler) pump(conn *Conn, sess *Session, id string, floor uint64) {
-	window := h.Window
-	if window < 1 {
-		window = 1
-	}
-	outs := make([]chan serve.Outcome, window)
-	for i := range outs {
-		outs[i] = make(chan serve.Outcome, 1)
-	}
-	decs := make([]Decision, window)
-	pending := make([]bool, window)
-	head, inflight := 0, 0
 	nextSeq := floor // last assigned; used when the pool runs journal-less
-
-	// record assigns the decision's accepted seq and rings it; callers
-	// then deliver it (live write or resume replay after reconnect).
-	record := func(s int, o serve.Outcome) ([]byte, error) {
-		pending[s] = false
-		d := &decs[s]
-		d.WSeq = o.Seq
-		if o.Err != nil {
-			d.Error = o.Err.Error()
-			b, err := json.Marshal(d)
-			return b, err
-		}
-		if o.Seq != 0 {
-			d.Seq = o.Seq
-		} else {
-			nextSeq++
-			d.Seq = nextSeq
-		}
-		d.Warmup = o.Result.Warmup
-		d.Anomaly = o.Result.Anomaly
-		d.Score = o.Result.Score
-		d.Exact = o.Result.Exact
-		d.Path = o.Result.Path
-		b, err := json.Marshal(d)
-		if err != nil {
-			return nil, err
-		}
-		return b, sess.Append(d.Seq, b)
-	}
-	defer func() {
-		// Drain every in-flight submission (their segments are queued on
-		// the shard regardless of how this handler exits) and ring their
-		// decisions: the floor a reconnect sees must cover them, or the
-		// client would resend accepted segments.
-		for ; inflight > 0; inflight-- {
-			oldest := (head + window - inflight) % window
-			if pending[oldest] {
-				record(oldest, <-outs[oldest])
-			}
-		}
-	}()
-
-	msgCh := make(chan []byte)
-	msgFree := make(chan []byte, 2)
-	for i := 0; i < cap(msgFree); i++ {
-		msgFree <- make([]byte, 0, 512)
-	}
-	quit := make(chan struct{})
-	readerDone := make(chan struct{})
-	// Registered before the drain defer runs (LIFO): stop the reader —
-	// closing the connection unblocks a parked ReadMessage, quit unblocks
-	// a parked channel send — and only then drain outcomes.
-	defer func() {
-		close(quit)
-		conn.Close()
-		<-readerDone
-	}()
-	go func() {
-		defer close(readerDone)
-		defer close(msgCh)
-		for {
+	p := Pump{
+		Pool:    h.Pool,
+		Channel: id,
+		Window:  h.Window,
+		Read: func() ([]byte, error) {
 			_, msg, err := conn.ReadMessage()
-			if err != nil {
-				return
-			}
-			var buf []byte
-			select {
-			case buf = <-msgFree:
-			case <-quit:
-				return
-			}
-			select {
-			case msgCh <- append(buf[:0], msg...):
-			case <-quit:
-				return
-			}
-		}
-	}()
-
-	var dec ObservationDecoder
-	accept := func(msg []byte) error {
-		decs[head] = Decision{Channel: id}
-		if obs, err := dec.Decode(msg); err != nil {
-			decs[head].Error = fmt.Sprintf("bad observation: %v", err)
-		} else {
-			err := h.Pool.SubmitInto(id, obs.Action, obs.Audience, outs[head])
-			switch {
-			case errors.Is(err, serve.ErrOverloaded):
-				if h.Pool.AdmissionState() == serve.AdmitReject {
-					decs[head].Rejected = true
+			return msg, err
+		},
+		Stop: func() { conn.Close() },
+		Emit: func(d *Decision, o *serve.Outcome) error {
+			accepted := o != nil && o.Err == nil
+			if accepted {
+				if o.Seq != 0 {
+					d.Seq = o.Seq
 				} else {
-					decs[head].Dropped = true
+					nextSeq++
+					d.Seq = nextSeq
 				}
-			case err != nil:
-				decs[head].Error = err.Error()
-			default:
-				pending[head] = true
 			}
-		}
-		head = (head + 1) % window
-		inflight++
-		return nil
+			b, err := json.Marshal(d)
+			if err != nil {
+				return err
+			}
+			if accepted {
+				if err := sess.Append(d.Seq, b); err != nil {
+					return err
+				}
+			}
+			return conn.WriteMessage(OpText, b)
+		},
 	}
-	writeOldest := func(oldest int, o serve.Outcome, resolved bool) bool {
-		var payload []byte
-		var err error
-		if resolved {
-			payload, err = record(oldest, o)
-		} else {
-			// Refused at submit time: seq stays 0, nothing ringed.
-			payload, err = json.Marshal(&decs[oldest])
-		}
-		if err != nil {
-			return false
-		}
-		return conn.WriteMessage(OpText, payload) == nil
+	if _, outErr := p.Run(); outErr == nil {
+		// Clean end of stream: the client closed (or broke) the
+		// connection; finish the close handshake if it is still up.
+		conn.WriteClose(CloseNormal, "")
 	}
-
-	for open := true; open || inflight > 0; {
-		oldest := (head + window - inflight) % window
-		if inflight > 0 && !pending[oldest] {
-			if !writeOldest(oldest, serve.Outcome{}, false) {
-				return
-			}
-			inflight--
-			continue
-		}
-		in := msgCh
-		if !open || inflight == window {
-			in = nil
-		}
-		var out chan serve.Outcome
-		if inflight > 0 {
-			out = outs[oldest]
-		}
-		select {
-		case msg, ok := <-in:
-			if !ok {
-				open = false
-				continue
-			}
-			if err := accept(msg); err != nil {
-				return
-			}
-			msgFree <- msg
-		case o := <-out:
-			if !writeOldest(oldest, o, true) {
-				return
-			}
-			inflight--
-		}
-	}
-	// Clean end of stream: the client closed (or broke) the connection;
-	// finish the close handshake if it is still up.
-	conn.WriteClose(CloseNormal, "")
 }
