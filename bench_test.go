@@ -142,17 +142,25 @@ func benchmarkDetector(b *testing.B, useADOS bool, mutate ...func(*Config)) {
 		}
 	}
 	n := len(ds.TestActions)
+	retrains := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx := cfg.SeqLen + i%(n-cfg.SeqLen)
-		if _, err := det.Observe(ds.TestActions[idx], ds.TestAudience[idx]); err != nil {
+		r, err := det.Observe(ds.TestActions[idx], ds.TestAudience[idx])
+		if err != nil {
 			b.Fatal(err)
+		}
+		if r.Updated {
+			retrains++
 		}
 	}
 	b.StopTimer()
 	if ts := det.TierStats(); ts.Gated > 0 {
 		b.ReportMetric(float64(ts.Skipped)/float64(ts.Gated), "tierskip/op")
+	}
+	if cfg.EnableUpdate {
+		b.ReportMetric(float64(retrains)/float64(b.N), "retrains/op")
 	}
 }
 
@@ -163,6 +171,15 @@ func BenchmarkDetectorObserveADOS(b *testing.B) { benchmarkDetector(b, true) }
 // BenchmarkDetectorObserveExact measures the per-segment cost with the
 // exact REIA computed for every segment (no bounds).
 func BenchmarkDetectorObserveExact(b *testing.B) { benchmarkDetector(b, false) }
+
+// BenchmarkDetectorObserveUpdate is the ADOS configuration with the
+// paper's dynamic update on (Fig. 5, default update.Config): every
+// segment also runs the updater's hidden-state pass and drift sketch, and
+// a full buffer runs the drift check and, on drift, a retrain. The
+// retrains/op metric reports how often the timed loop retrained.
+func BenchmarkDetectorObserveUpdate(b *testing.B) {
+	benchmarkDetector(b, true, func(cfg *Config) { cfg.EnableUpdate = true })
+}
 
 // BenchmarkDetectorObserveFastMath is the ADOS configuration scored with
 // the polynomial SIMD exp/tanh gate kernels (ISSUE 6): identical GEMV

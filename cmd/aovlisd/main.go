@@ -440,20 +440,29 @@ func (d *daemon) closeDurability() error {
 // on the boot path between openLedger and openWAL so WAL-replayed verdicts
 // reach both.
 func (d *daemon) attachVerdictSinks() {
-	var sinks fanoutSink
-	if d.ledger != nil {
-		sinks = append(sinks, ledgerSink{d.ledger})
-	}
-	if d.hub != nil { // nil only in tests exercising the NDJSON plane alone
-		sinks = append(sinks, watchSink{hub: d.hub})
-	}
-	switch len(sinks) {
+	switch sinks := d.verdictSinks(); len(sinks) {
 	case 0:
 	case 1:
 		d.pool.AttachVerdictSink(sinks[0])
 	default:
 		d.pool.AttachVerdictSink(sinks)
 	}
+}
+
+// verdictSinks builds the ledger and watch sinks the daemon has, each with
+// its registered error counter.
+func (d *daemon) verdictSinks() fanoutSink {
+	reg := d.pool.Metrics()
+	var sinks fanoutSink
+	if d.ledger != nil {
+		sinks = append(sinks, ledgerSink{led: d.ledger, errs: reg.Counter("aovlis_ledger_append_errors_total",
+			"Verdicts the ledger failed to append; each is also logged.")})
+	}
+	if d.hub != nil { // nil only in tests exercising the NDJSON plane alone
+		sinks = append(sinks, watchSink{hub: d.hub, errs: reg.Counter("aovlis_watch_publish_errors_total",
+			"Verdicts dropped from /watch because they could not be encoded; each is also logged.")})
+	}
+	return sinks
 }
 
 // fanoutSink fans one verdict out to several sinks in order.
@@ -467,8 +476,12 @@ func (s fanoutSink) Record(channel string, channelSeq uint64, res aovlis.Result)
 
 // watchSink publishes every verdict to the live hub's SSE watch ring. The
 // hub never blocks on a slow dashboard (it disconnects laggards instead),
-// so this is safe on the scoring path.
-type watchSink struct{ hub *live.Hub }
+// so this is safe on the scoring path. A verdict that cannot be encoded
+// (a NaN score) is counted in errs and logged.
+type watchSink struct {
+	hub  *live.Hub
+	errs *metrics.Counter
+}
 
 func (s watchSink) Record(channel string, channelSeq uint64, res aovlis.Result) {
 	b, err := json.Marshal(live.Decision{
@@ -482,16 +495,22 @@ func (s watchSink) Record(channel string, channelSeq uint64, res aovlis.Result) 
 		WSeq:    channelSeq,
 	})
 	if err != nil {
+		s.errs.Inc()
+		fmt.Fprintf(os.Stderr, "aovlisd: watch publish (channel %s seq %d): %v\n", channel, channelSeq, err)
 		return
 	}
 	s.hub.Publish(channel, b)
 }
 
 // ledgerSink adapts the verdict ledger to the pool's VerdictSink. The
-// ledger serialises appends internally; an append error is reported once
-// the daemon checkpoints (Flush) — the hot path must not block scoring on
+// ledger serialises appends internally; a failed append is counted in
+// errs and logged, and the ledger's own error surfaces again when the
+// daemon checkpoints (Flush) — the hot path must not block scoring on
 // ledger I/O diagnostics.
-type ledgerSink struct{ led *ledger.Ledger }
+type ledgerSink struct {
+	led  *ledger.Ledger
+	errs *metrics.Counter
+}
 
 func (s ledgerSink) Record(channel string, channelSeq uint64, res aovlis.Result) {
 	_, err := s.led.Append(ledger.Entry{
@@ -504,6 +523,7 @@ func (s ledgerSink) Record(channel string, channelSeq uint64, res aovlis.Result)
 		Path:       res.Path,
 	})
 	if err != nil {
+		s.errs.Inc()
 		fmt.Fprintf(os.Stderr, "aovlisd: ledger append (channel %s seq %d): %v\n", channel, channelSeq, err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -25,6 +26,7 @@ import (
 	"aovlis"
 	"aovlis/internal/ledger"
 	"aovlis/internal/mat"
+	"aovlis/internal/metrics"
 	"aovlis/internal/serve"
 	"aovlis/internal/snapshot"
 	"aovlis/internal/stream/live"
@@ -416,7 +418,7 @@ func TestSnapshotSkipsWALTruncateOnLedgerFlushFailure(t *testing.T) {
 	}
 	t.Cleanup(func() { led.Close() })
 	d.ledger = led
-	d.pool.AttachVerdictSink(ledgerSink{led})
+	d.pool.AttachVerdictSink(ledgerSink{led: led, errs: &metrics.Counter{}})
 	j, err := wal.Open(walDir, wal.Options{SegmentBytes: 1024})
 	if err != nil {
 		t.Fatal(err)
@@ -635,5 +637,33 @@ func TestChannelRoutes(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /channels status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestVerdictSinkErrorsCounted pins the verdict sinks' failure counters: a
+// NaN score that the /watch encoder rejects and an append through a closed
+// ledger each count once on /metrics instead of vanishing.
+func TestVerdictSinkErrorsCounted(t *testing.T) {
+	d, srv := newTestDaemon(t, 8, 0, "")
+	led, err := ledger.Open(t.TempDir(), ledger.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.ledger = led
+	d.hub = live.NewHub(live.HubConfig{})
+	t.Cleanup(d.hub.Close)
+	sinks := d.verdictSinks()
+
+	sinks.Record("sinkerr", 1, aovlis.Result{Score: math.NaN()})
+	if err := led.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sinks.Record("sinkerr", 2, aovlis.Result{Score: 0.5})
+
+	_, samples := scrape(t, srv)
+	for _, name := range []string{"aovlis_watch_publish_errors_total", "aovlis_ledger_append_errors_total"} {
+		if got := samples[name]; got != 1 {
+			t.Errorf("%s = %v, want 1", name, got)
+		}
 	}
 }

@@ -277,7 +277,7 @@ func (t *Tape) Sigmoid(a *Node) *Node {
 	n := t.alloc()
 	n.op, n.a = opSigmoid, a
 	n.Value = t.arena.GetUninit(a.Value.Rows, a.Value.Cols)
-	mat.ApplyTo(n.Value, a.Value, func(x float64) float64 { return 1 / (1 + math.Exp(-x)) })
+	mat.VecSigmoidInto(n.Value.Data, a.Value.Data)
 	return n
 }
 
@@ -286,7 +286,7 @@ func (t *Tape) Tanh(a *Node) *Node {
 	n := t.alloc()
 	n.op, n.a = opTanh, a
 	n.Value = t.arena.GetUninit(a.Value.Rows, a.Value.Cols)
-	mat.ApplyTo(n.Value, a.Value, math.Tanh)
+	mat.VecTanhInto(n.Value.Data, a.Value.Data)
 	return n
 }
 

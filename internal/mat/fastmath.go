@@ -6,9 +6,12 @@ import (
 	"os"
 )
 
-// Fast-math transcendental kernels (ISSUE 6). The exact LSTM gate kernel is
-// transcendental-dominated: math.Exp and math.Tanh are scalar, bit-defined
-// and branchy, and cap Observe near 27k seg/s per core (BENCH.md §3c).
+// Fast-math transcendental kernels, the opt-in alternative to the exact
+// ones. They were added when the exact gate kernel called scalar math.Exp
+// and math.Tanh per element; the exact kernels now vectorise math's own
+// algorithms bit for bit (exact_amd64.s, ARCHITECTURE.md §18), which
+// leaves these kernels little or no speed to trade their ULP for (BENCH.md
+// §13 records the remaining gap).
 // FastExp/FastTanh trade the last few ULP for straight-line polynomial
 // arithmetic that vectorises: a 13-term Taylor expansion of e^r on the
 // reduced interval |r| ≤ ln2/2 after Cody–Waite argument reduction

@@ -356,26 +356,33 @@ func TestLSTMGatesFastComposition(t *testing.T) {
 }
 
 // BenchmarkLSTMGates compares the exact and fast gate kernels at the
-// CLSTM's hot hidden size (the BENCH.md §3c transcendental ceiling).
+// CLSTM's hot hidden size (n = 48, the BENCH.md §3c transcendental
+// ceiling; sub-benchmarks "exact" and "fast") and at hidden sizes 64 and
+// 32 ("exact-H64", "fast-H32", …).
 func BenchmarkLSTMGates(b *testing.B) {
-	const n = 48
-	rng := rand.New(rand.NewSource(1))
-	pre := make([]float64, 4*n)
-	for i := range pre {
-		pre[i] = rng.NormFloat64() * 2
+	for _, shape := range []struct {
+		n      int
+		suffix string
+	}{{48, ""}, {64, "-H64"}, {32, "-H32"}} {
+		n := shape.n
+		rng := rand.New(rand.NewSource(1))
+		pre := make([]float64, 4*n)
+		for i := range pre {
+			pre[i] = rng.NormFloat64() * 2
+		}
+		cPrev, h, cNext := make([]float64, n), make([]float64, n), make([]float64, n)
+		scratch := make([]float64, 4*n)
+		b.Run("exact"+shape.suffix, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(scratch, pre)
+				LSTMGatesInto(h, cNext, scratch, cPrev)
+			}
+		})
+		b.Run("fast"+shape.suffix, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(scratch, pre)
+				LSTMGatesFastInto(h, cNext, scratch, cPrev)
+			}
+		})
 	}
-	cPrev, h, cNext := make([]float64, n), make([]float64, n), make([]float64, n)
-	scratch := make([]float64, 4*n)
-	b.Run("exact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			copy(scratch, pre)
-			LSTMGatesInto(h, cNext, scratch, cPrev)
-		}
-	})
-	b.Run("fast", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			copy(scratch, pre)
-			LSTMGatesFastInto(h, cNext, scratch, cPrev)
-		}
-	})
 }

@@ -122,58 +122,60 @@ func VecRecip1pInto(v []float64) {
 //	i = σ(pre_i)  f = σ(pre_f)  c̃ = tanh(pre_c)  o = σ(pre_o)
 //	cNext = i⊙c̃ + f⊙cPrev      h = o⊙tanh(cNext)
 //
-// The kernel is phased: the sigmoid gates' exponentials first (scalar
-// math.Exp, the bit-defined transcendental), then σ = 1/(1+e) as one
-// vectorised pass (VecRecip1pInto — the add and the IEEE correctly-rounded
-// divide are elementwise, so vectorisation cannot change a bit), then the
-// cell update. Phasing reorders only *which unit* is processed when; every
-// individual operation sees the same inputs as the fully scalar form, so
-// the result is bit-identical to it — and to the tape (the explicit
-// float64 conversions force the two products to round before the add,
-// exactly as the tape rounds them when storing the Mul nodes, so no FMA
-// contraction can perturb the result).
+// The kernel is phased: the three sigmoid gates, then c̃, then the cell
+// update, then tanh(cNext) and the output gate, each pass through the
+// exact vector kernels (VecSigmoidInto, VecTanhInto), which agree with
+// math.Exp and math.Tanh bit for bit. Phasing reorders only *which unit*
+// is processed when; every individual operation sees the same inputs as
+// the fully scalar form, so the result is bit-identical to it — and to the
+// tape (the explicit float64 conversions force the two products to round
+// before the add, exactly as the tape rounds them when storing the Mul
+// nodes, so no FMA contraction can perturb the result).
 func LSTMGatesInto(h, cNext, pre, cPrev []float64) {
 	n := len(h)
 	if len(cNext) != n || len(cPrev) != n || len(pre) != 4*n {
 		panic(fmt.Sprintf("mat: LSTMGatesInto lengths h=%d cNext=%d cPrev=%d pre=%d", n, len(cNext), len(cPrev), len(pre)))
 	}
 	ig, fg, cd, og := pre[0:n], pre[n:2*n], pre[2*n:3*n], pre[3*n:4*n]
-	for j, v := range ig {
-		ig[j] = math.Exp(-v)
-	}
-	for j, v := range fg {
-		fg[j] = math.Exp(-v)
-	}
-	for j, v := range og {
-		og[j] = math.Exp(-v)
-	}
-	VecRecip1pInto(pre[0 : 2*n]) // i and f gates are adjacent
-	VecRecip1pInto(og)
+	VecSigmoidInto(pre[0:2*n], pre[0:2*n]) // i and f gates are adjacent
+	VecSigmoidInto(og, og)
+	VecTanhInto(cd, cd)
 	for j := 0; j < n; j++ {
-		c := math.Tanh(cd[j])
-		cn := float64(ig[j]*c) + float64(fg[j]*cPrev[j])
-		cNext[j] = cn
-		h[j] = og[j] * math.Tanh(cn)
+		cNext[j] = float64(ig[j]*cd[j]) + float64(fg[j]*cPrev[j])
+	}
+	VecTanhInto(h, cNext)
+	for j := 0; j < n; j++ {
+		h[j] = og[j] * h[j]
 	}
 }
 
-// VecSigmoidInto computes dst = σ(a) elementwise with the tape's sigmoid.
+// VecSigmoidInto computes dst = σ(a) elementwise with the tape's sigmoid,
+// 1/(1+math.Exp(−x)), bit for bit. dst and a may be the same slice.
 func VecSigmoidInto(dst, a []float64) {
 	if len(dst) != len(a) {
 		panic(fmt.Sprintf("mat: VecSigmoidInto length mismatch %d vs %d", len(dst), len(a)))
 	}
-	for i, v := range a {
-		dst[i] = sigmoidScalar(v)
+	for i := simdSigmoidInto(dst, a); i < len(a); i++ {
+		dst[i] = sigmoidScalar(a[i])
 	}
 }
 
-// VecTanhInto computes dst = tanh(a) elementwise.
+// VecTanhInto computes dst = math.Tanh(a) elementwise, bit for bit. dst
+// and a may be the same slice.
 func VecTanhInto(dst, a []float64) {
 	if len(dst) != len(a) {
 		panic(fmt.Sprintf("mat: VecTanhInto length mismatch %d vs %d", len(dst), len(a)))
 	}
-	for i, v := range a {
-		dst[i] = math.Tanh(v)
+	for i := simdTanhInto(dst, a); i < len(a); i++ {
+		dst[i] = math.Tanh(a[i])
+	}
+}
+
+// vecExpInto computes dst = math.Exp(a) elementwise, bit for bit. dst and
+// a may be the same slice.
+func vecExpInto(dst, a []float64) {
+	for i := simdExpInto(dst, a); i < len(a); i++ {
+		dst[i] = math.Exp(a[i])
 	}
 }
 

@@ -36,6 +36,12 @@ func detectGEMMLevel() int {
 	if os.Getenv("AOVLIS_NOSIMD") != "" {
 		return 0
 	}
+	return detectCPULevel()
+}
+
+// detectCPULevel is the vector level the CPU and OS support, regardless of
+// AOVLIS_NOSIMD.
+func detectCPULevel() int {
 	maxLeaf, _, _, _ := cpuidex(0, 0)
 	if maxLeaf < 7 {
 		return 0

@@ -1,9 +1,6 @@
 package mat
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // In-place variants of the allocating operations. Each XTo writes the full
 // result into a caller-supplied destination of the right shape and performs
@@ -218,10 +215,12 @@ func SoftmaxInto(dst, a []float64) {
 			m = v
 		}
 	}
-	var sum float64
 	for i, v := range a {
-		e := math.Exp(v - m)
-		dst[i] = e
+		dst[i] = v - m
+	}
+	vecExpInto(dst, dst)
+	var sum float64
+	for _, e := range dst {
 		sum += e
 	}
 	for i := range dst {

@@ -441,24 +441,7 @@ func Normalize(a []float64) bool {
 // numerical stability.
 func Softmax(a []float64) []float64 {
 	out := make([]float64, len(a))
-	if len(a) == 0 {
-		return out
-	}
-	m := a[0]
-	for _, v := range a {
-		if v > m {
-			m = v
-		}
-	}
-	var sum float64
-	for i, v := range a {
-		e := math.Exp(v - m)
-		out[i] = e
-		sum += e
-	}
-	for i := range out {
-		out[i] /= sum
-	}
+	SoftmaxInto(out, a)
 	return out
 }
 

@@ -567,10 +567,29 @@ func MSELoss(tp *ad.Tape, pred *ad.Node, target *mat.Matrix) *ad.Node {
 	return tp.Mean(tp.Square(d))
 }
 
+// probConst puts the true action distribution p on the tape as a
+// constant, with entries below zero clamped to 0. The scoring divergences
+// (core.JSDivergence, adg.JSExact) give such entries no weight; without
+// the clamp, one negative entry (a drifted or noisy feed) turns p·log p
+// into NaN and a single training step poisons every weight. In-domain
+// targets go on the tape as they are.
+func probConst(tp *ad.Tape, p *mat.Matrix) *ad.Node {
+	for _, v := range p.Data {
+		if v < 0 {
+			c := tp.Arena().GetUninit(p.Rows, p.Cols)
+			for i, v := range p.Data {
+				c.Data[i] = max(v, 0)
+			}
+			return tp.Const(c)
+		}
+	}
+	return tp.Const(p)
+}
+
 // KLLoss returns KL(p ‖ q) where p is the (constant) true distribution and q
 // the predicted distribution node: Σ p log p − Σ p log q.
 func KLLoss(tp *ad.Tape, p *mat.Matrix, q *ad.Node) *ad.Node {
-	pc := tp.Const(p)
+	pc := probConst(tp, p)
 	return tp.Sub(tp.Sum(tp.Mul(pc, tp.Log(pc))), tp.Sum(tp.Mul(pc, tp.Log(q))))
 }
 
@@ -578,7 +597,7 @@ func KLLoss(tp *ad.Tape, p *mat.Matrix, q *ad.Node) *ad.Node {
 // ½KL(p‖m) + ½KL(q‖m) with m = (p+q)/2 — the JSE loss the paper selects
 // after the Table I comparison.
 func JSLoss(tp *ad.Tape, p *mat.Matrix, q *ad.Node) *ad.Node {
-	pc := tp.Const(p)
+	pc := probConst(tp, p)
 	m := tp.Scale(0.5, tp.Add(pc, q))
 	klPM := tp.Sub(tp.Sum(tp.Mul(pc, tp.Log(pc))), tp.Sum(tp.Mul(pc, tp.Log(m))))
 	klQM := tp.Sub(tp.Sum(tp.Mul(q, tp.Log(q))), tp.Sum(tp.Mul(q, tp.Log(m))))

@@ -503,3 +503,31 @@ func TestAdamCheckShapes(t *testing.T) {
 		t.Fatal("negative dimensions accepted")
 	}
 }
+
+// TestDivergenceLossesIgnoreNegativeTargets pins the training losses'
+// handling of a target entry below zero (a drifted or noisy feed): the
+// entry gets no weight, as in the scoring divergences, so loss and
+// gradient stay finite; without it p·log p is NaN and one step poisons
+// every weight. A target with no negative entry is used as it is.
+func TestDivergenceLossesIgnoreNegativeTargets(t *testing.T) {
+	q := []float64{0.2, 0.3, 0.5}
+	for name, loss := range map[string]func(*ad.Tape, *mat.Matrix, *ad.Node) *ad.Node{"JS": JSLoss, "KL": KLLoss} {
+		eval := func(p []float64) (float64, []float64) {
+			tp := ad.NewTape()
+			qn := tp.Var(mat.FromSlice(1, 3, append([]float64(nil), q...)))
+			l := loss(tp, mat.FromSlice(1, 3, p), qn)
+			tp.Backward(l)
+			return ad.Scalar(l), append([]float64(nil), qn.Grad.Data...)
+		}
+		got, grad := eval([]float64{-0.05, 0.45, 0.6})
+		want, wantGrad := eval([]float64{0, 0.45, 0.6})
+		if math.IsNaN(got) || got != want {
+			t.Errorf("%s loss with a negative target entry = %v, want %v (the entry clamped to 0)", name, got, want)
+		}
+		for i := range grad {
+			if grad[i] != wantGrad[i] {
+				t.Errorf("%s gradient[%d] = %v, want %v", name, i, grad[i], wantGrad[i])
+			}
+		}
+	}
+}

@@ -108,8 +108,27 @@ func TestPoolSoakSlowBurnDrift(t *testing.T) {
 	}
 
 	// The updating template under the tiered gate: drift must cross weight
-	// changes AND tier skips, and both must replay bit-identically.
-	tmpl := trainUpdatingTemplate(t, func(cfg *aovlis.Config) {
+	// changes AND tier skips, and both must replay bit-identically. It
+	// trains on the same channels' drift-free traffic (a Steady schedule
+	// of the same seed draws the same per-channel bases), so the early
+	// segments are in distribution and the gate has normal segments to
+	// skip.
+	warm := lcfg
+	warm.Shape, warm.Drift, warm.Duration = loadgen.Steady, 0, 2*time.Second
+	warmSched, err := loadgen.New(warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trainActs, trainAuds [][]float64
+	for c := 0; c < warm.Channels; c++ {
+		for i := range warmSched.Arrivals {
+			if a := &warmSched.Arrivals[i]; a.ChannelIndex == c {
+				trainActs = append(trainActs, a.Action)
+				trainAuds = append(trainAuds, a.Audience)
+			}
+		}
+	}
+	tmpl := trainUpdatingTemplateOn(t, trainActs, trainAuds, func(cfg *aovlis.Config) {
 		cfg.FastMath = true
 		cfg.Tiered = true
 		cfg.Tier = ados.TierConfig{DriftMax: 0.6, Margin: 1, MaxRun: 8}
@@ -220,6 +239,7 @@ func TestPoolSoakSlowBurnDrift(t *testing.T) {
 		if len(scores[i]) != len(st.acts) {
 			t.Fatalf("channel %s: %d verdicts, want %d", ids[i], len(scores[i]), len(st.acts))
 		}
+		requireFiniteScores(t, ids[i], scores[i])
 		replay, err := tmpl.Clone()
 		if err != nil {
 			t.Fatal(err)

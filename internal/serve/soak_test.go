@@ -38,10 +38,31 @@ func toSoakResult(r aovlis.Result) soakResult {
 	}
 }
 
+// requireFiniteScores fails unless every non-warmup verdict of a channel
+// carries a finite score: a NaN or Inf score would compare as "not above
+// τ" and pass as a silent normal verdict.
+func requireFiniteScores(t *testing.T, id string, rs []soakResult) {
+	t.Helper()
+	for s, r := range rs {
+		if score := math.Float64frombits(r.score); !r.warmup && (math.IsNaN(score) || math.IsInf(score, 0)) {
+			t.Fatalf("channel %s segment %d: non-finite score %v (path %q)", id, s, score, r.path)
+		}
+	}
+}
+
 // trainUpdatingTemplate trains a template with the dynamic updater tuned
 // to retrain frequently, so the soak also stresses weight mutation under
 // batching and snapshots.
 func trainUpdatingTemplate(t testing.TB, mutate ...func(*aovlis.Config)) *aovlis.Detector {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	actions, audience := testStream(rng.Int63(), 90)
+	return trainUpdatingTemplateOn(t, actions, audience, mutate...)
+}
+
+// trainUpdatingTemplateOn is trainUpdatingTemplate over a given training
+// stream.
+func trainUpdatingTemplateOn(t testing.TB, actions, audience [][]float64, mutate ...func(*aovlis.Config)) *aovlis.Detector {
 	t.Helper()
 	cfg := aovlis.DefaultConfig(16, 6)
 	cfg.HiddenI, cfg.HiddenA = 12, 8
@@ -54,8 +75,6 @@ func trainUpdatingTemplate(t testing.TB, mutate ...func(*aovlis.Config)) *aovlis
 	for _, m := range mutate {
 		m(&cfg)
 	}
-	rng := rand.New(rand.NewSource(7))
-	actions, audience := testStream(rng.Int63(), 90)
 	det, err := aovlis.Train(actions, audience, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -247,6 +266,7 @@ func runPoolSoakChaos(t *testing.T, tiered bool) {
 		if len(scores[i]) != segs {
 			t.Fatalf("channel %s: %d verdicts, want %d", ids[i], len(scores[i]), segs)
 		}
+		requireFiniteScores(t, ids[i], scores[i])
 		replay, err := template(i).Clone()
 		if err != nil {
 			t.Fatal(err)
